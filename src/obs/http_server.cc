@@ -308,9 +308,15 @@ void HttpServer::AcceptNew(int64_t now_ms) {
     }
     if (conns_.size() >=
         static_cast<size_t>(options_.max_connections)) {
-      // Over the cap: answer 503 with a best-effort single send. The
-      // socket buffer always holds this short response, so no state
-      // machine is needed for the reject path.
+      // Over the cap: answer 503 with a best-effort single send (the
+      // socket buffer always holds this short response), then close in
+      // stages as RFC 9112 §9.6 asks. The client's request may already
+      // sit unread in the receive buffer, and close() on unread data
+      // makes the kernel send a RST that destroys the 503 before the
+      // client reads it. So: half-close (the FIN follows the response),
+      // drain what is buffered, and only then close. A request that
+      // lands after the drain can still draw a RST, but only after the
+      // FIN, so the client reads the 503 and a clean EOF.
       connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       // Retry-After: the pressure is scrape concurrency, not load — a
       // one-second backoff is always enough for a slot to free up.
@@ -318,6 +324,10 @@ void HttpServer::AcceptNew(int64_t now_ms) {
                                    "connection limit reached", "",
                                    "Retry-After: 1\r\n");
       (void)::send(fd, resp.data(), resp.size(), MSG_NOSIGNAL);
+      ::shutdown(fd, SHUT_WR);
+      char discard[1024];
+      while (::recv(fd, discard, sizeof(discard), MSG_DONTWAIT) > 0) {
+      }
       ::close(fd);
       continue;
     }
@@ -596,8 +606,10 @@ Result<std::string> HttpGet(uint16_t port, const std::string& path,
     ssize_t n = ::send(fd, req.data() + off, req.size() - off, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
+      Status st = Status::IOError(std::string("send() failed: ") +
+                                  (n < 0 ? strerror(errno) : "no progress"));
       ::close(fd);
-      return Status::IOError("send() failed");
+      return st;
     }
     off += static_cast<size_t>(n);
   }
@@ -611,8 +623,12 @@ Result<std::string> HttpGet(uint16_t port, const std::string& path,
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0) {
+      // A receive timeout shows as EAGAIN ("Resource temporarily
+      // unavailable"), a reset as ECONNRESET.
+      Status st =
+          Status::IOError(std::string("recv() failed: ") + strerror(errno));
       ::close(fd);
-      return Status::IOError("recv() timed out or failed");
+      return st;
     }
     break;  // EOF
   }

@@ -32,8 +32,9 @@
 //    exported state is read through the same thread-safe snapshot paths
 //    the file exporters use (registry mutex, ring snapshots).
 //  - Bounded: at most `max_connections` concurrent sockets (extras get an
-//    immediate 503), bounded request size (oversize -> 400), idle sockets
-//    reaped after `idle_timeout_ms`.
+//    immediate 503 followed by a clean close, never a reset), bounded
+//    request size (oversize -> 400), idle sockets reaped after
+//    `idle_timeout_ms`.
 //  - Clean shutdown: Stop() flips a flag the poll loop observes within
 //    ~100ms, then joins; open connections are closed, the listen socket
 //    released.
