@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "stream/trace_source.h"
 
 using namespace streamop;
 using namespace streamop::bench;
@@ -46,7 +47,8 @@ TwoLevelResult RunTwoLevel(const Trace& trace, const std::string& low_sql,
   CompiledQuery low = MustCompile(low_sql, 41);
   CompiledQuery high = MustCompile(SubsetSumSql(n, 10.0), 42);
   TwoLevelRuntime rt(low, {high});
-  Result<RunReport> report = rt.Run(trace);
+  TraceSource src(trace);
+  Result<RunReport> report = rt.RunSource(src);
   if (!report.ok()) {
     std::fprintf(stderr, "run failed: %s\n",
                  report.status().ToString().c_str());

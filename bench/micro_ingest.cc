@@ -22,6 +22,7 @@
 #include "query/query.h"
 #include "stream/pcap_reader.h"
 #include "stream/socket_source.h"
+#include "stream/trace_source.h"
 
 namespace streamop {
 namespace {
@@ -69,7 +70,8 @@ void BM_InProcessIngest(benchmark::State& state) {
   const Trace& trace = BenchTrace();
   for (auto _ : state) {
     TwoLevelRuntime rt(LowQuery(), {HighQuery()});
-    auto report = rt.Run(trace);
+    TraceSource src(trace);
+    auto report = rt.RunSource(src);
     if (!report.ok()) {
       state.SkipWithError(report.status().ToString().c_str());
       return;

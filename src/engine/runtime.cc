@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
-#include "stream/stream_source.h"
 
 namespace streamop {
 
@@ -19,8 +18,7 @@ namespace {
 using obs::NowNanos;
 
 // A packet whose length is below the 20-byte IPv4 header minimum is
-// malformed (fault injection truncates below this); both run modes reject
-// it at the ring instead of feeding garbage to the query nodes.
+// malformed (fault injection truncates below this).
 constexpr uint16_t kMinPacketLen = 20;
 
 // Producer backoff ladder: this many plain yields before sleeping, then
@@ -29,9 +27,9 @@ constexpr int kBackoffYields = 32;
 constexpr uint64_t kBackoffMinSleepNs = 1000;     // 1 us
 constexpr uint64_t kBackoffMaxSleepNs = 1000000;  // 1 ms
 
-// Marks the runtime as running for the duration of a Run/RunThreaded call
-// (exception- and early-return-safe), so /healthz can tell an in-flight
-// run from a completed one.
+// Marks the runtime as running for the duration of a RunSource/RunThreaded
+// call (exception- and early-return-safe), so /healthz can tell an
+// in-flight run from a completed one.
 class RunningGuard {
  public:
   explicit RunningGuard(std::atomic<bool>& flag) : flag_(flag) {
@@ -43,22 +41,107 @@ class RunningGuard {
   std::atomic<bool>& flag_;
 };
 
-// Offers a malformed-packet exemplar (the rejected header's timestamp and
-// claimed length) to the process-wide store. Rare path: the gate is one
-// relaxed load, the offer one uncontended lock.
-void OfferMalformedExemplar(const PacketRecord& p) {
+// The per-record gate of every run path: a malformed record is counted and
+// offered as an exemplar (its timestamp and claimed length), never fed to
+// the query nodes. Rare path: the offer is one relaxed load and one
+// uncontended lock.
+bool WellFormed(const PacketRecord& p, uint64_t* malformed) {
+  if (p.len >= kMinPacketLen) return true;
+  ++*malformed;
   if constexpr (obs::kStatsEnabled) {
     obs::ExemplarStore& store = obs::ExemplarStore::Default();
-    if (!store.enabled()) return;
-    obs::Exemplar ex;
-    ex.ts_ns = p.ts_ns;
-    ex.value = static_cast<double>(p.len);
-    ex.dims[0] = p.ts_ns;
-    ex.dims[1] = p.len;
-    ex.ndims = 2;
-    store.Offer(obs::ExemplarStore::kMalformed, ex);
+    if (store.enabled()) {
+      obs::Exemplar ex;
+      ex.ts_ns = p.ts_ns;
+      ex.value = static_cast<double>(p.len);
+      ex.dims[0] = p.ts_ns;
+      ex.dims[1] = p.len;
+      ex.ndims = 2;
+      store.Offer(obs::ExemplarStore::kMalformed, ex);
+    }
   }
+  return false;
 }
+
+// The per-batch step of every run path (DESIGN.md §9). Begin() opens the
+// drain phase and hands out the cleared batch; the caller fills it through
+// its gates and calls Push(), which closes the drain phase, pushes the batch
+// low -> high with per-node CPU and latency accounting, and emits the
+// ring_drain span under the window the batch fed. With spans and phase
+// accounting off, the step adds two relaxed loads per batch.
+class BatchStep {
+ public:
+  BatchStep(QueryNode& low,
+            const std::vector<std::unique_ptr<QueryNode>>& high,
+            size_t batch_size)
+      : low_(low), high_(high), batch_(low.input_width(), batch_size) {}
+
+  TupleBatch& Begin() {
+    span_on_ = obs::SpanRing::Default().enabled();
+    prof_on_ = obs::Profiler::Default().phase_accounting_enabled();
+    t0_ = NowNanos();
+    drain_c0_ = prof_on_ ? obs::CycleNow() : 0;
+    batch_.Clear();
+    return batch_;
+  }
+
+  // `consumed` counts the records this batch took from the feed, gated ones
+  // included. An empty step is a heartbeat: it turns the nodes over (hooks,
+  // deferred snapshots) but is neither timed nor spanned.
+  Status Push(size_t consumed, double weight) {
+    const uint64_t drain_end = span_on_ ? NowNanos() : 0;
+    if (prof_on_) {
+      obs::Profiler::Default().AddPhaseCycles(obs::Profiler::kDrain,
+                                              obs::CycleNow() - drain_c0_);
+    }
+    // Causal context: rows drained go down; the id of the window span the
+    // batch fed comes back up through the sampling operator, so the drain
+    // span below parents under the window root it actually filled.
+    obs::SpanContext sctx;
+    sctx.shed_p = weight > 1.0 ? 1.0 / weight : 1.0;
+    sctx.rows = batch_.num_rows();
+    STREAMOP_RETURN_NOT_OK(low_.PushBatch(batch_, weight, &low_out_));
+    const bool timed = consumed > 0;
+    if (timed) {
+      const uint64_t batch_ns = NowNanos() - t0_;
+      low_.AddCpuNanos(batch_ns);
+      low_.RecordBatch(batch_ns, batch_.num_rows());
+    }
+    for (auto& node : high_) {
+      const uint64_t h0 = timed ? NowNanos() : 0;
+      STREAMOP_RETURN_NOT_OK(node->PushBatch(low_out_, weight, nullptr,
+                                             span_on_ ? &sctx : nullptr));
+      if (!timed) continue;
+      const uint64_t h_ns = NowNanos() - h0;
+      node->AddCpuNanos(h_ns);
+      if (low_out_.num_rows() > 0) {
+        node->RecordBatch(h_ns, low_out_.num_rows());
+      }
+    }
+    if (span_on_ && timed) {
+      obs::SpanRecord dr;
+      dr.name = "ring_drain";
+      dr.parent_id = sctx.window_span_id;
+      dr.window_seq = sctx.window_seq;
+      dr.ts_ns = t0_;
+      dr.dur_ns = drain_end - t0_;
+      dr.rows = batch_.num_rows();
+      dr.shed_p = sctx.shed_p;
+      obs::SpanRing::Default().Emit(dr);
+    }
+    return Status::OK();
+  }
+
+ private:
+  QueryNode& low_;
+  const std::vector<std::unique_ptr<QueryNode>>& high_;
+  TupleBatch batch_;
+  TupleBatch low_out_;
+  bool span_on_ = false;
+  bool prof_on_ = false;
+  uint64_t t0_ = 0;
+  uint64_t drain_c0_ = 0;
+};
 
 // Offers a shed-drop exemplar: which packet the Bernoulli pre-sampler
 // dropped, at what admission probability.
@@ -96,9 +179,10 @@ TwoLevelRuntime::TwoLevelRuntime(const CompiledQuery& low,
                                  const std::vector<CompiledQuery>& high,
                                  Options options)
     : options_(options) {
-  obs::MetricRegistry& reg = options_.registry != nullptr
-                                 ? *options_.registry
-                                 : obs::MetricRegistry::Default();
+  if (options_.registry == nullptr) {
+    options_.registry = &obs::MetricRegistry::Default();
+  }
+  obs::MetricRegistry& reg = *options_.registry;
   ring_metrics_ = obs::RingBufferMetrics::Create(reg);
   producer_retries_ =
       reg.GetCounter("streamop_runtime_producer_retries_total");
@@ -248,21 +332,13 @@ TwoLevelRuntime::TwoLevelRuntime(const CompiledQuery& low,
   }
 }
 
-void TwoLevelRuntime::PublishReport(const RunReport& report) {
-  {
-    std::lock_guard<std::mutex> lock(report_mu_);
-    last_report_ = report;
+void TwoLevelRuntime::PublishReport(RunReport* report) {
+  report->late_tuples = low_->late_tuples();
+  report->low = MakeReport(*low_, report->stream_seconds);
+  for (auto& node : high_) {
+    report->late_tuples += node->late_tuples();
+    report->high.push_back(MakeReport(*node, report->stream_seconds));
   }
-  shed_fraction_gauge_->Set(report.shed_fraction);
-  shed_p_min_gauge_->Set(report.shed_p_min);
-  shed_p_max_gauge_->Set(report.shed_p_max);
-  late_tuples_gauge_->Set(static_cast<double>(report.late_tuples));
-  packets_malformed_gauge_->Set(
-      static_cast<double>(report.packets_malformed));
-  watchdog_fired_gauge_->Set(report.watchdog_fired ? 1.0 : 0.0);
-}
-
-void TwoLevelRuntime::FillCheckpointReport(RunReport* report) const {
   report->recovered = recovered_;
   report->recovered_windows = recovered_windows_;
   for (const auto& mgr : checkpoint_mgrs_) {
@@ -272,6 +348,31 @@ void TwoLevelRuntime::FillCheckpointReport(RunReport* report) const {
     report->checkpoint_corrupt_skipped += mgr->corrupt_skipped();
     if (mgr->degraded()) report->checkpoint_degraded = true;
   }
+  {
+    std::lock_guard<std::mutex> lock(report_mu_);
+    last_report_ = *report;
+  }
+  shed_fraction_gauge_->Set(report->shed_fraction);
+  shed_p_min_gauge_->Set(report->shed_p_min);
+  shed_p_max_gauge_->Set(report->shed_p_max);
+  late_tuples_gauge_->Set(static_cast<double>(report->late_tuples));
+  packets_malformed_gauge_->Set(
+      static_cast<double>(report->packets_malformed));
+  watchdog_fired_gauge_->Set(report->watchdog_fired ? 1.0 : 0.0);
+}
+
+Status TwoLevelRuntime::FinishNodes(double weight) {
+  const uint64_t t0 = NowNanos();
+  STREAMOP_RETURN_NOT_OK(low_->Finish());
+  const std::vector<Tuple> rows = low_->DrainOutput();
+  low_->AddCpuNanos(NowNanos() - t0);
+  for (auto& node : high_) {
+    const uint64_t h0 = NowNanos();
+    for (const Tuple& t : rows) STREAMOP_RETURN_NOT_OK(node->Push(t, weight));
+    STREAMOP_RETURN_NOT_OK(node->Finish());
+    node->AddCpuNanos(NowNanos() - h0);
+  }
+  return Status::OK();
 }
 
 bool TwoLevelRuntime::AnyNodeRecovering() const {
@@ -477,130 +578,10 @@ std::string TwoLevelRuntime::HealthJson() const {
   return buf;
 }
 
-Result<RunReport> TwoLevelRuntime::Run(const Trace& trace) {
-  RunningGuard running(running_);
-  RingBuffer<const PacketRecord*> ring(options_.ring_capacity);
-  ring.AttachMetrics(&ring_metrics_);
-  const std::vector<PacketRecord>& packets = trace.packets();
-  size_t produced = 0;
-  uint64_t packets_malformed = 0;
-
-  // Batched data path (DESIGN.md §9): the ring drains into a reusable
-  // columnar batch, the low node filters/projects it column-at-a-time into
-  // `low_out_batch`, and the high nodes consume that batch directly — no
-  // per-tuple Value rows anywhere on the steady-state path.
-  TupleBatch batch(low_->input_width(), options_.batch_size);
-  TupleBatch low_out_batch;
-
-  while (produced < packets.size()) {
-    // Producer: fill the ring (pointers into the trace arena — no copy,
-    // matching Gigascope's zero-copy feed of low-level queries).
-    while (produced < packets.size() && ring.TryPush(&packets[produced])) {
-      ++produced;
-    }
-
-    // Low-level node: drain the ring in batches; packet->batch conversion
-    // and selection both bill to the low node (these are the "memory copy"
-    // costs §7.2 attributes to low-level evaluation).
-    while (!ring.empty()) {
-      obs::SpanRing& spans = obs::SpanRing::Default();
-      obs::Profiler& prof = obs::Profiler::Default();
-      const bool span_on = spans.enabled();
-      const bool prof_on = prof.phase_accounting_enabled();
-      uint64_t t0 = NowNanos();
-      const uint64_t drain_c0 = prof_on ? obs::CycleNow() : 0;
-      batch.Clear();
-      const PacketRecord* p = nullptr;
-      for (size_t i = 0; i < options_.batch_size && ring.TryPop(&p); ++i) {
-        if (p->len < kMinPacketLen) {
-          ++packets_malformed;  // truncated/garbage header: reject, don't feed
-          OfferMalformedExemplar(*p);
-          continue;
-        }
-        batch.AppendPacket(*p);
-      }
-      const uint64_t drain_end = span_on ? NowNanos() : 0;
-      if (prof_on) {
-        prof.AddPhaseCycles(obs::Profiler::kDrain,
-                            obs::CycleNow() - drain_c0);
-      }
-      // Causal context: rows drained go down; the id of the window span the
-      // batch fed comes back up through the sampling operator, so the drain
-      // span below parents under the window root it actually filled.
-      obs::SpanContext sctx;
-      sctx.rows = batch.num_rows();
-      STREAMOP_RETURN_NOT_OK(low_->PushBatch(batch, 1.0, &low_out_batch));
-      uint64_t batch_ns = NowNanos() - t0;
-      low_->AddCpuNanos(batch_ns);
-      low_->RecordBatch(batch_ns, batch.num_rows());
-
-      // High-level nodes consume the low node's output batch.
-      for (auto& node : high_) {
-        uint64_t h0 = NowNanos();
-        STREAMOP_RETURN_NOT_OK(node->PushBatch(
-            low_out_batch, 1.0, nullptr, span_on ? &sctx : nullptr));
-        uint64_t h_ns = NowNanos() - h0;
-        node->AddCpuNanos(h_ns);
-        node->RecordBatch(h_ns, low_out_batch.num_rows());
-      }
-      if (span_on) {
-        obs::SpanRecord dr;
-        dr.name = "ring_drain";
-        dr.parent_id = sctx.window_span_id;
-        dr.window_seq = sctx.window_seq;
-        dr.ts_ns = t0;
-        dr.dur_ns = drain_end - t0;
-        dr.rows = batch.num_rows();
-        spans.Emit(dr);
-      }
-    }
-  }
-
-  // End of stream.
-  {
-    uint64_t t0 = NowNanos();
-    STREAMOP_RETURN_NOT_OK(low_->Finish());
-    std::vector<Tuple> rows = low_->DrainOutput();
-    low_->AddCpuNanos(NowNanos() - t0);
-    for (auto& node : high_) {
-      uint64_t h0 = NowNanos();
-      for (const Tuple& t : rows) {
-        STREAMOP_RETURN_NOT_OK(node->Push(t));
-      }
-      STREAMOP_RETURN_NOT_OK(node->Finish());
-      node->AddCpuNanos(NowNanos() - h0);
-    }
-  }
-
-  RunReport report;
-  report.stream_seconds = trace.DurationSec();
-  report.packets = packets.size();
-  report.packets_malformed = packets_malformed;
-  report.ring_push_failures = ring_metrics_.enabled()
-                                  ? ring_metrics_.push_failures->value()
-                                  : 0;
-  report.ring_occupancy_hwm =
-      ring_metrics_.enabled()
-          ? static_cast<uint64_t>(ring_metrics_.occupancy_hwm->value())
-          : 0;
-  report.late_tuples = low_->late_tuples();
-  report.low = MakeReport(*low_, report.stream_seconds);
-  for (auto& node : high_) {
-    report.late_tuples += node->late_tuples();
-    report.high.push_back(MakeReport(*node, report.stream_seconds));
-  }
-  FillCheckpointReport(&report);
-  PublishReport(report);
-  return report;
-}
-
 Result<RunReport> TwoLevelRuntime::RunSource(ResumableSource& source) {
   RunningGuard running(running_);
-  obs::MetricRegistry& reg = options_.registry != nullptr
-                                 ? *options_.registry
-                                 : obs::MetricRegistry::Default();
   const obs::IngestSourceMetrics ingest =
-      obs::IngestSourceMetrics::Create(reg, source.describe());
+      obs::IngestSourceMetrics::Create(*options_.registry, source.describe());
 
   // Restore-side seek must happen before Open(): pcap applies the pending
   // seek when opening, sockets put the offset in their first HELLO.
@@ -612,13 +593,11 @@ Result<RunReport> TwoLevelRuntime::RunSource(ResumableSource& source) {
   pending_snapshots_.assign(high_.size(), 0);
 
   std::vector<PacketRecord> records(options_.batch_size);
-  TupleBatch batch(low_->input_width(), options_.batch_size);
-  TupleBatch low_out_batch;
+  BatchStep step(*low_, high_, options_.batch_size);
   uint64_t delivered = 0;
   uint64_t malformed = 0;
   uint64_t first_ts = 0;
   uint64_t last_ts = 0;
-  bool have_ts = false;
   int64_t idle_since_ns = -1;
   bool clean_end = false;
   Status status;
@@ -652,50 +631,20 @@ Result<RunReport> TwoLevelRuntime::RunSource(ResumableSource& source) {
     const ResumableSource::ReadResult rr =
         source.Read(records.data(), records.size(), &n);
     if (n > 0) {
+      if (delivered == 0) first_ts = records[0].ts_ns;
       delivered += n;
-      const uint64_t t0 = NowNanos();
-      batch.Clear();
+      idle_since_ns = -1;
+    }
+    // A quiet wire still turns the pipeline over with an empty batch:
+    // hooks run, metrics refresh, deferred snapshots land.
+    if (n > 0 || rr == ResumableSource::ReadResult::kIdle) {
+      TupleBatch& batch = step.Begin();
       for (size_t i = 0; i < n; ++i) {
         const PacketRecord& p = records[i];
-        if (!have_ts) {
-          first_ts = p.ts_ns;
-          have_ts = true;
-        }
         last_ts = std::max(last_ts, p.ts_ns);
-        if (p.len < kMinPacketLen) {
-          ++malformed;  // quarantined on arrival, never fed to the nodes
-          OfferMalformedExemplar(p);
-          continue;
-        }
-        batch.AppendPacket(p);
+        if (WellFormed(p, &malformed)) batch.AppendPacket(p);
       }
-      status = low_->PushBatch(batch, 1.0, &low_out_batch);
-      const uint64_t batch_ns = NowNanos() - t0;
-      low_->AddCpuNanos(batch_ns);
-      low_->RecordBatch(batch_ns, batch.num_rows());
-      if (status.ok()) {
-        for (auto& node : high_) {
-          const uint64_t h0 = NowNanos();
-          status = node->PushBatch(low_out_batch, 1.0, nullptr, nullptr);
-          const uint64_t h_ns = NowNanos() - h0;
-          node->AddCpuNanos(h_ns);
-          if (low_out_batch.num_rows() > 0) {
-            node->RecordBatch(h_ns, low_out_batch.num_rows());
-          }
-          if (!status.ok()) break;
-        }
-      }
-      if (!status.ok()) break;
-      idle_since_ns = -1;
-    } else if (rr == ResumableSource::ReadResult::kIdle) {
-      // Heartbeat-empty batch: the wire is quiet but the pipeline keeps
-      // turning — hooks run, metrics refresh, deferred snapshots land.
-      batch.Clear();
-      status = low_->PushBatch(batch, 1.0, &low_out_batch);
-      for (auto& node : high_) {
-        if (!status.ok()) break;
-        status = node->PushBatch(low_out_batch, 1.0, nullptr, nullptr);
-      }
+      status = step.Push(n, 1.0);
       if (!status.ok()) break;
     }
 
@@ -730,24 +679,7 @@ Result<RunReport> TwoLevelRuntime::RunSource(ResumableSource& source) {
 
   // End of stream: flush the final windows, but only on a clean end — an
   // ingest failure must not emit partial windows as if they completed.
-  if (status.ok() && clean_end) {
-    const uint64_t t0 = NowNanos();
-    status = low_->Finish();
-    if (status.ok()) {
-      std::vector<Tuple> rows = low_->DrainOutput();
-      low_->AddCpuNanos(NowNanos() - t0);
-      for (auto& node : high_) {
-        const uint64_t h0 = NowNanos();
-        for (const Tuple& t : rows) {
-          status = node->Push(t);
-          if (!status.ok()) break;
-        }
-        if (status.ok()) status = node->Finish();
-        node->AddCpuNanos(NowNanos() - h0);
-        if (!status.ok()) break;
-      }
-    }
-  }
+  if (status.ok() && clean_end) status = FinishNodes(1.0);
   // Snapshots deferred by the final flush bind to the end-of-stream offset.
   FlushPendingSnapshots(&source);
   source_run_active_ = false;
@@ -756,17 +688,9 @@ Result<RunReport> TwoLevelRuntime::RunSource(ResumableSource& source) {
 
   RunReport report;
   report.stream_seconds =
-      have_ts && last_ts > first_ts
-          ? static_cast<double>(last_ts - first_ts) * 1e-9
-          : 0.0;
+      last_ts > first_ts ? static_cast<double>(last_ts - first_ts) * 1e-9 : 0.0;
   report.packets = delivered;
   report.packets_malformed = malformed;
-  report.late_tuples = low_->late_tuples();
-  report.low = MakeReport(*low_, report.stream_seconds);
-  for (auto& node : high_) {
-    report.late_tuples += node->late_tuples();
-    report.high.push_back(MakeReport(*node, report.stream_seconds));
-  }
   SourceReport sr;
   sr.source = source.describe();
   sr.resumed_from_offset = resumed;
@@ -776,8 +700,7 @@ Result<RunReport> TwoLevelRuntime::RunSource(ResumableSource& source) {
   if (!source.last_status().ok()) sr.error = source.last_status().message();
   sr.stats = source.stats();
   report.sources.push_back(std::move(sr));
-  FillCheckpointReport(&report);
-  PublishReport(report);
+  PublishReport(&report);
 
   if (!status.ok()) return status;
   if (!clean_end && !source.last_status().ok()) return source.last_status();
@@ -789,10 +712,7 @@ Result<RunReport> TwoLevelRuntime::RunThreaded(const Trace& trace) {
   RingBuffer<const PacketRecord*> ring(options_.ring_capacity);
   ring.AttachMetrics(&ring_metrics_);
   const std::vector<PacketRecord>& packets = trace.packets();
-  obs::MetricRegistry& reg = options_.registry != nullptr
-                                 ? *options_.registry
-                                 : obs::MetricRegistry::Default();
-  LoadShedController shed(options_.shed, &reg);
+  LoadShedController shed(options_.shed, options_.registry);
   // A restored snapshot carries the controller state from the killed run;
   // apply it so the admission probability resumes where it left off.
   if (!restored_shed_blob_.empty()) {
@@ -868,8 +788,7 @@ Result<RunReport> TwoLevelRuntime::RunThreaded(const Trace& trace) {
     uint64_t last_tick_ns = 0;
     uint64_t last_failures = 0;
     uint64_t batch_index = 0;
-    TupleBatch batch(low_->input_width(), options_.batch_size);
-    TupleBatch low_out_batch;
+    BatchStep step(*low_, high_, options_.batch_size);
     for (;;) {
       if (abort.load(std::memory_order_acquire)) break;
       if (options_.consumer_stall_hook) {
@@ -902,66 +821,20 @@ Result<RunReport> TwoLevelRuntime::RunThreaded(const Trace& trace) {
       }
       const double weight = (shed_on && !replaying) ? shed.weight() : 1.0;
 
-      obs::SpanRing& spans = obs::SpanRing::Default();
-      obs::Profiler& prof = obs::Profiler::Default();
-      const bool span_on = spans.enabled();
-      const bool prof_on = prof.phase_accounting_enabled();
       size_t popped = 0;
-      uint64_t t0 = NowNanos();
-      const uint64_t drain_c0 = prof_on ? obs::CycleNow() : 0;
-      batch.Clear();
+      TupleBatch& batch = step.Begin();
       for (size_t i = 0; i < options_.batch_size && ring.TryPop(&p); ++i) {
         ++popped;
         progress.fetch_add(1, std::memory_order_relaxed);
-        if (p->len < kMinPacketLen) {
-          ++consumer_malformed;  // truncated/garbage header: reject
-          OfferMalformedExemplar(*p);
-          continue;
-        }
+        if (!WellFormed(*p, &consumer_malformed)) continue;
         if (shed_on && !replaying && !shed.Admit()) {  // Bernoulli pre-sample
           OfferShedExemplar(*p, weight);
           continue;
         }
         batch.AppendPacket(*p);  // weight is constant across the batch
       }
-      const uint64_t drain_end = span_on ? NowNanos() : 0;
-      if (prof_on) {
-        prof.AddPhaseCycles(obs::Profiler::kDrain,
-                            obs::CycleNow() - drain_c0);
-      }
-      obs::SpanContext sctx;
-      sctx.shed_p = weight > 1.0 ? 1.0 / weight : 1.0;
-      sctx.rows = batch.num_rows();
-      status = low_->PushBatch(batch, weight, &low_out_batch);
+      status = step.Push(popped, weight);
       if (!status.ok()) break;
-      if (popped > 0) {
-        uint64_t batch_ns = NowNanos() - t0;
-        low_->AddCpuNanos(batch_ns);
-        low_->RecordBatch(batch_ns, batch.num_rows());
-      }
-      for (auto& node : high_) {
-        uint64_t h0 = NowNanos();
-        status = node->PushBatch(low_out_batch, weight, nullptr,
-                                 span_on ? &sctx : nullptr);
-        uint64_t h_ns = NowNanos() - h0;
-        node->AddCpuNanos(h_ns);
-        if (low_out_batch.num_rows() > 0) {
-          node->RecordBatch(h_ns, low_out_batch.num_rows());
-        }
-        if (!status.ok()) break;
-      }
-      if (!status.ok()) break;
-      if (span_on && popped > 0) {
-        obs::SpanRecord dr;
-        dr.name = "ring_drain";
-        dr.parent_id = sctx.window_span_id;
-        dr.window_seq = sctx.window_seq;
-        dr.ts_ns = t0;
-        dr.dur_ns = drain_end - t0;
-        dr.rows = batch.num_rows();
-        dr.shed_p = sctx.shed_p;
-        spans.Emit(dr);
-      }
       if (popped == 0) {
         if (ring.closed() && ring.empty()) break;  // clean end of stream
         std::this_thread::yield();
@@ -1011,23 +884,7 @@ Result<RunReport> TwoLevelRuntime::RunThreaded(const Trace& trace) {
   // End of stream (only on a clean run: an aborted pipeline must not emit
   // partial windows as if they were complete).
   if (status.ok() && !watchdog_fired) {
-    uint64_t t0 = NowNanos();
-    status = low_->Finish();
-    if (status.ok()) {
-      std::vector<Tuple> rows = low_->DrainOutput();
-      low_->AddCpuNanos(NowNanos() - t0);
-      const double weight = options_.shed.enabled ? shed.weight() : 1.0;
-      for (auto& node : high_) {
-        uint64_t h0 = NowNanos();
-        for (const Tuple& t : rows) {
-          status = node->Push(t, weight);
-          if (!status.ok()) break;
-        }
-        if (status.ok()) status = node->Finish();
-        node->AddCpuNanos(NowNanos() - h0);
-        if (!status.ok()) break;
-      }
-    }
+    status = FinishNodes(options_.shed.enabled ? shed.weight() : 1.0);
   }
 
   // The final flush (Finish above) may have snapshotted through the hook;
@@ -1059,14 +916,7 @@ Result<RunReport> TwoLevelRuntime::RunThreaded(const Trace& trace) {
       ring_metrics_.enabled()
           ? static_cast<uint64_t>(ring_metrics_.occupancy_hwm->value())
           : 0;
-  report.late_tuples = low_->late_tuples();
-  report.low = MakeReport(*low_, report.stream_seconds);
-  for (auto& node : high_) {
-    report.late_tuples += node->late_tuples();
-    report.high.push_back(MakeReport(*node, report.stream_seconds));
-  }
-  FillCheckpointReport(&report);
-  PublishReport(report);
+  PublishReport(&report);
 
   if (watchdog_fired) {
     return Status::ResourceExhausted(

@@ -1,12 +1,16 @@
 // TwoLevelRuntime: the Gigascope execution architecture (§3, Fig. 1).
 //
-// Packets flow   trace arena -> ring buffer -> low-level node -> high-level
-// nodes. The low-level node is a selection (or pre-sampling selection)
-// query applied without copying off the ring buffer; its output tuples are
-// the only per-packet copies, which is why a selective low-level query
-// slashes total cost (Fig. 6). The runtime stopwatches each node and
-// reports %CPU relative to the stream's real-time duration — the paper's
-// metric of "fraction of one CPU consumed at line rate".
+// Packets flow   feed -> batch -> low-level node -> high-level nodes. The
+// feed is any ResumableSource (an in-memory trace, a pcap file, a socket)
+// read by RunSource, or a trace pushed through an SPSC ring by RunThreaded's
+// producer thread. Both paths share one per-record gate, one per-batch step
+// and one end-of-stream step, so they emit the same spans and profiler
+// phases. The low-level node is a selection (or pre-sampling selection)
+// query; its output tuples are the only per-packet copies up the pipeline,
+// which is why a selective low-level query slashes total cost (Fig. 6). The
+// runtime stopwatches each node and reports %CPU relative to the stream's
+// real-time duration — the paper's metric of "fraction of one CPU consumed
+// at line rate".
 
 #ifndef STREAMOP_ENGINE_RUNTIME_H_
 #define STREAMOP_ENGINE_RUNTIME_H_
@@ -52,14 +56,14 @@ struct SourceReport {
 };
 
 struct RunReport {
-  double stream_seconds = 0.0;    // the trace's wall-clock span
+  double stream_seconds = 0.0;    // the feed's timestamp span
   double pipeline_seconds = 0.0;  // RunThreaded: end-to-end wall time
-  uint64_t packets = 0;
+  uint64_t packets = 0;           // records taken from the feed
 
-  // Ring-buffer overload accounting (RunThreaded). A full ring makes the
-  // producer either retry (default: yield until space, deterministic) or
-  // drop the packet (drop_on_overload — Gigascope's behaviour). Either
-  // way the overload is now visible instead of silent.
+  // Ring-buffer overload accounting (RunThreaded only: RunSource has no
+  // ring). A full ring makes the producer either retry (default: yield
+  // until space, deterministic) or drop the packet (drop_on_overload —
+  // Gigascope's behaviour). Either way the overload is visible.
   uint64_t ring_push_failures = 0;   // TryPush calls that found the ring full
   uint64_t ring_producer_retries = 0;  // producer yield-and-retry rounds
   uint64_t packets_dropped = 0;        // only with drop_on_overload
@@ -99,7 +103,7 @@ struct RunReport {
   uint64_t checkpoint_failures = 0;
   uint64_t checkpoint_corrupt_skipped = 0;
 
-  // Network/file ingest (RunSource): one entry per source fed this run.
+  // Ingest (RunSource): one entry per source fed this run.
   std::vector<SourceReport> sources;
 
   NodeReport low;
@@ -108,7 +112,9 @@ struct RunReport {
 
 /// Runtime tuning knobs.
 struct RuntimeOptions {
+  /// RunThreaded only: slots in the producer -> consumer ring.
   size_t ring_capacity = 1 << 16;
+  /// Records per batch: RunSource's Read() size, RunThreaded's ring drain.
   size_t batch_size = 512;
   /// RunThreaded only: drop packets when the ring is full instead of
   /// spinning the producer (the paper's Gigascope drops under overload).
@@ -197,35 +203,36 @@ class TwoLevelRuntime {
                   const std::vector<CompiledQuery>& high,
                   RuntimeOptions options = RuntimeOptions());
 
-  /// Replays the trace through the pipeline. High-level node outputs are
-  /// retained and can be drained from the nodes afterwards.
-  Result<RunReport> Run(const Trace& trace);
-
-  /// Like Run(), but with true pipeline parallelism, the way Gigascope
-  /// deploys its query nodes: a producer thread feeds the ring buffer and
-  /// a consumer thread runs the low-level node + high-level operators.
-  /// Results are identical to Run() (the pipeline is deterministic); only
-  /// the wall-clock overlap differs. The report additionally carries the
-  /// end-to-end wall time in `pipeline_seconds`.
-  Result<RunReport> RunThreaded(const Trace& trace);
-
-  /// Feeds the pipeline from an external ingest source (a socket or a pcap
-  /// file — stream/resumable_source.h) instead of an in-memory trace. The
+  /// Feeds the pipeline from `source` (stream/resumable_source.h): an
+  /// in-memory trace (stream/trace_source.h), a pcap file or a socket. The
   /// loop is single-threaded: read a batch from the source, push it
   /// through the nodes, repeat; read timeouts degrade to heartbeat-empty
-  /// batches so the loop keeps turning while the wire is quiet.
+  /// batches so the loop keeps turning while the wire is quiet. High-level
+  /// node outputs are retained and can be drained from the nodes.
   ///
-  /// Durability differs from the trace runs in one crucial way: snapshots
-  /// requested by the window-flush hook are deferred to the next ingest
-  /// batch boundary, where every record read so far has been fully
-  /// processed, and the source's durable offset is persisted alongside the
-  /// operator state. On restore, when the newest snapshots carry a source
-  /// section matching this source's kind and stream id, the runtime seeks
-  /// the source to the saved offset and cancels positional replay —
-  /// byte-identical resume for pcap, at-most-once for sockets. Any
-  /// mismatch (different source, mixed offsets, pre-source snapshot)
-  /// falls back to the armed replay-from-start path.
+  /// Durability: snapshots requested by the window-flush hook are deferred
+  /// to the next ingest batch boundary, where every record read so far has
+  /// been fully processed, and the source's durable offset is persisted
+  /// alongside the operator state. On restore, when the newest snapshots
+  /// carry a source section matching this source's kind and stream id, the
+  /// runtime seeks the source to the saved offset and cancels positional
+  /// replay — byte-identical resume for traces and pcap, at-most-once for
+  /// sockets. Any mismatch (different source, mixed offsets, a snapshot
+  /// without a source section) falls back to the armed replay-from-start
+  /// path.
   Result<RunReport> RunSource(ResumableSource& source);
+
+  /// Runs a trace with true pipeline parallelism, the way Gigascope
+  /// deploys its query nodes: a producer thread feeds the ring buffer and
+  /// a consumer thread runs the low-level node + high-level operators.
+  /// Results are identical to RunSource() over the same trace (the pipeline
+  /// is deterministic); only the wall-clock overlap differs. Adds load
+  /// shedding, the stall watchdog and the ring's overload accounting; the
+  /// report carries the end-to-end wall time in `pipeline_seconds`.
+  /// Snapshots are written as soon as the flush hook asks and carry no
+  /// source section, so a restored run replays the trace from the start,
+  /// discarding the already-processed prefix by position.
+  Result<RunReport> RunThreaded(const Trace& trace);
 
   QueryNode& low_node() { return *low_; }
   QueryNode& high_node(size_t i) { return *high_[i]; }
@@ -259,7 +266,7 @@ class TwoLevelRuntime {
     return forensic_report_;
   }
 
-  /// True while Run()/RunThreaded() is executing.
+  /// True while RunSource()/RunThreaded() is executing.
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
   /// /healthz body: run state + the degradation summary of the most recent
@@ -269,8 +276,8 @@ class TwoLevelRuntime {
   /// /healthz verdict: false once a run was terminated by the watchdog.
   bool healthy() const;
 
-  /// True when a snapshot was restored at construction; the first
-  /// Run/RunThreaded then replays the already-processed stream prefix.
+  /// True when a snapshot was restored at construction; the first run then
+  /// resumes after the snapshot (see RunSource and RunThreaded for how).
   bool recovered() const { return recovered_; }
   uint64_t recovered_windows() const { return recovered_windows_; }
 
@@ -292,13 +299,16 @@ class TwoLevelRuntime {
     uint64_t offset = 0;
   };
 
-  // Folds the checkpoint counters and recovery state into `report`.
-  void FillCheckpointReport(RunReport* report) const;
   // True while any sampling node is still discarding replayed input.
   bool AnyNodeRecovering() const;
-  // Publishes the report to last_report_ (under the mutex, for /healthz
-  // readers) and refreshes the degradation gauges in the registry.
-  void PublishReport(const RunReport& report);
+  // The end-of-stream step of every run path: finishes the low node, feeds
+  // its last rows to the high nodes at `weight`, then finishes those.
+  Status FinishNodes(double weight);
+  // The report tail of every run path, failed runs included: adds the
+  // per-node reports, late tuples and checkpoint counters to `report`,
+  // publishes it to last_report_ (under the mutex, for /healthz readers)
+  // and refreshes the degradation gauges in the registry.
+  void PublishReport(RunReport* report);
   // Serializes one node's durable state (+ shed controller, exemplars and
   // — for source runs — the source offset section) and hands it to `mgr`.
   void WriteNodeSnapshot(SamplingOperator* op, CheckpointManager* mgr,

@@ -17,11 +17,13 @@ namespace streamop {
 
 namespace {
 
-int64_t NowMs() {
+int64_t NowNs() {
   timespec ts;
   clock_gettime(CLOCK_MONOTONIC, &ts);
-  return ts.tv_sec * 1000 + ts.tv_nsec / 1000000;
+  return ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
+
+int64_t NowMs() { return NowNs() / 1000000; }
 
 bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -94,6 +96,7 @@ TraceSender::TraceSender(TraceSenderConfig config)
   if (config_.records_per_frame == 0) config_.records_per_frame = 1;
   config_.records_per_frame =
       std::min(config_.records_per_frame, kMaxRecordsPerFrame);
+  pace_.records_per_sec = config_.records_per_sec;
 }
 
 TraceSender::~TraceSender() {
@@ -129,13 +132,17 @@ size_t TraceSender::BuildDataFrame(uint64_t pos, uint64_t frame_index,
   return len;
 }
 
+void TraceSender::RestartPacing() {
+  if (config_.records_per_sec > 0) pace_.Restart(NowNs());
+}
+
 void TraceSender::RateLimitPause(size_t records_in_frame) {
   if (config_.records_per_sec <= 0 || records_in_frame == 0) return;
-  const double sec =
-      static_cast<double>(records_in_frame) / config_.records_per_sec;
+  const int64_t wait_ns = pace_.Book(records_in_frame, NowNs());
+  if (wait_ns <= 0) return;
   timespec ts;
-  ts.tv_sec = static_cast<time_t>(sec);
-  ts.tv_nsec = static_cast<long>((sec - static_cast<double>(ts.tv_sec)) * 1e9);
+  ts.tv_sec = static_cast<time_t>(wait_ns / 1000000000);
+  ts.tv_nsec = static_cast<long>(wait_ns % 1000000000);
   nanosleep(&ts, nullptr);
 }
 
@@ -179,6 +186,7 @@ Status TraceSender::RunUdp(const std::string& host, uint16_t port) {
           h.type == FrameType::kHello) {
         pos = ClampResume(h.seq);
         send_control(FrameType::kAck, pos);
+        RestartPacing();
         streaming = true;
         fin_sent = false;
         linger_deadline = -1;
@@ -283,6 +291,7 @@ void TraceSender::ServeConnection(int fd, bool* delivered) {
   uint8_t ctrl[kFrameHeaderSize];
   size_t clen = BuildFrame(FrameType::kAck, pos, nullptr, 0, ctrl);
   if (!SendAll(fd, ctrl, clen, stop_)) return;
+  RestartPacing();
 
   const uint64_t total = config_.records.size();
   std::vector<uint8_t> frame(kFrameHeaderSize +

@@ -46,7 +46,10 @@ struct TraceSenderConfig {
   int handshake_timeout_ms = 10000;
   /// After the trace is fully sent (FIN), keep serving resume handshakes
   /// for this long — a consumer that restarts right at the end can still
-  /// re-fetch its tail. 0 = exit immediately after FIN.
+  /// re-fetch its tail. 0 = exit immediately after FIN. Resuming after the
+  /// tail has been written needs a linger: over TCP, "sent" means written
+  /// to the socket, so a consumer that drops the connection before reading
+  /// the tail finds no one to resume from without it.
   int linger_ms = 0;
   /// How many records back from the furthest-sent position a resume may
   /// reach. 0 = unlimited (the whole trace is replayable). A small window
@@ -71,6 +74,31 @@ struct TraceSenderConfig {
   /// Send the FIN frame when the trace completes (off = just stop, as a
   /// crashing producer would).
   bool send_fin = true;
+};
+
+/// TraceSender's pacing against an absolute schedule: the frame after
+/// `sent` records is due `sent / records_per_sec` after `start_ns`. Ahead of
+/// schedule the sender sleeps; behind it (slow sends, sleep overshoot) it
+/// sends at once to catch up. Pure arithmetic on the caller's clock.
+struct PaceSchedule {
+  double records_per_sec = 0.0;
+  int64_t start_ns = 0;
+  uint64_t sent = 0;  // records booked since start_ns
+
+  /// Starts over at `now_ns`: on each connect or resume.
+  void Restart(int64_t now_ns) {
+    start_ns = now_ns;
+    sent = 0;
+  }
+  /// Books `n` more records as sent; returns how long to sleep at `now_ns`
+  /// until the next frame is due, 0 when behind schedule.
+  int64_t Book(size_t n, int64_t now_ns) {
+    sent += n;
+    const int64_t due = start_ns + static_cast<int64_t>(
+                                       static_cast<double>(sent) * 1e9 /
+                                       records_per_sec);
+    return due > now_ns ? due - now_ns : 0;
+  }
 };
 
 /// Counters, readable while the sender runs on another thread.
@@ -116,6 +144,7 @@ class TraceSender {
   bool ShouldDrop(uint64_t frame_index) const;
   size_t BuildDataFrame(uint64_t pos, uint64_t frame_index, uint8_t* out,
                         size_t* n_records) const;
+  void RestartPacing();
   void RateLimitPause(size_t records_in_frame);
   void ServeConnection(int fd, bool* delivered);
 
@@ -130,6 +159,7 @@ class TraceSender {
   // Lifetime DATA-frame count, across connections: the drop/corrupt fault
   // moduli tick over it.
   uint64_t frame_counter_ = 0;
+  PaceSchedule pace_;  // throttled senders only (records_per_sec > 0)
 };
 
 }  // namespace streamop

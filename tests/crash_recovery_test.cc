@@ -24,6 +24,7 @@
 #include "net/trace_generator.h"
 #include "query/query.h"
 #include "stream/fault_injection.h"
+#include "stream/trace_source.h"
 
 namespace streamop {
 namespace {
@@ -158,7 +159,8 @@ void ExpectRecoveredSuffixMatchesReference(const Trace& trace,
   std::vector<std::string> reference;
   {
     TwoLevelRuntime ref(*low, {*high});
-    auto report = ref.Run(trace);
+    TraceSource src(trace);
+    auto report = ref.RunSource(src);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     reference = RowsAsStrings(ref.high_node(0).DrainOutput());
   }
@@ -300,7 +302,8 @@ TEST_F(CrashRecoveryTest, CorruptedSnapshotsFallBackThenFreshStart) {
 
   // Fresh start produced the full output, same as a reference run.
   TwoLevelRuntime ref(*low, {*high});
-  ASSERT_TRUE(ref.Run(trace).ok());
+  TraceSource src(trace);
+  ASSERT_TRUE(ref.RunSource(src).ok());
   EXPECT_EQ(RowsAsStrings(rt.high_node(0).DrainOutput()),
             RowsAsStrings(ref.high_node(0).DrainOutput()));
 }

@@ -21,6 +21,7 @@
 #include "stream/fault_injection.h"
 #include "stream/ring_buffer.h"
 #include "stream/stream_source.h"
+#include "stream/trace_source.h"
 
 namespace streamop {
 namespace {
@@ -233,7 +234,8 @@ TEST(ChaosTest, MalformedAndLatePacketsSurviveBothRunModes) {
   };
 
   auto seq = make_rt();
-  auto seq_report = seq->Run(faulty);
+  TraceSource src(faulty);
+  auto seq_report = seq->RunSource(src);
   ASSERT_TRUE(seq_report.ok()) << seq_report.status().ToString();
   EXPECT_GT(seq_report->packets_malformed, 0u);
   EXPECT_GT(seq_report->late_tuples, 0u);

@@ -17,6 +17,7 @@
 #include "sampling/distinct.h"
 #include "sampling/kmv.h"
 #include "stream/stream_source.h"
+#include "stream/trace_source.h"
 
 namespace streamop {
 namespace {
@@ -667,7 +668,8 @@ TEST(TwoLevelE2E, PassThroughLowLevelPreservesResults) {
   ASSERT_TRUE(low.ok());
   ASSERT_TRUE(high.ok());
   TwoLevelRuntime rt(*low, {*high});
-  auto report = rt.Run(trace);
+  TraceSource src(trace);
+  auto report = rt.RunSource(src);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->low.tuples_in, trace.size());
   EXPECT_EQ(report->low.tuples_out, trace.size());
@@ -698,7 +700,8 @@ TEST(TwoLevelE2E, PreSamplingLowLevelReducesHighLoad) {
   ASSERT_TRUE(low.ok()) << low.status().ToString();
   ASSERT_TRUE(high.ok());
   TwoLevelRuntime rt(*low, {*high});
-  auto report = rt.Run(trace);
+  TraceSource src(trace);
+  auto report = rt.RunSource(src);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   // Data reduction at the low level.
@@ -730,7 +733,8 @@ TEST(TwoLevelE2E, MultipleHighLevelQueriesShareOneLowLevel) {
   ASSERT_TRUE(agg.ok());
   ASSERT_TRUE(cnt.ok());
   TwoLevelRuntime rt(*low, {*agg, *cnt});
-  auto report = rt.Run(trace);
+  TraceSource src(trace);
+  auto report = rt.RunSource(src);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->high.size(), 2u);
   EXPECT_EQ(report->high[0].tuples_in, trace.size());
@@ -752,7 +756,8 @@ TEST(TwoLevelE2E, ThreadedRunMatchesSequentialRun) {
   ASSERT_TRUE(high.ok());
 
   TwoLevelRuntime seq(*low, {*high});
-  auto seq_report = seq.Run(trace);
+  TraceSource src(trace);
+  auto seq_report = seq.RunSource(src);
   ASSERT_TRUE(seq_report.ok()) << seq_report.status().ToString();
   std::vector<Tuple> seq_out = seq.high_node(0).DrainOutput();
 

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,10 +28,13 @@
 #include "net/trace_generator.h"
 #include "net/trace_sender.h"
 #include "net/wire.h"
+#include "obs/profiler.h"
+#include "obs/span.h"
 #include "query/query.h"
 #include "stream/fault_injection.h"
 #include "stream/pcap_reader.h"
 #include "stream/socket_source.h"
+#include "stream/trace_source.h"
 
 namespace streamop {
 namespace {
@@ -527,15 +531,17 @@ TEST(TcpSourceTest, ReplayWindowLimitForcesABookedGap) {
     SocketSource first(cfg);
     ASSERT_TRUE(first.Open().ok());
     std::vector<PacketRecord> buf(256);
-    size_t n = 0;
-    // Consume at least one batch so the producer's high water advances.
-    for (int i = 0; i < 1000 && n == 0; ++i) {
-      if (first.Read(buf.data(), buf.size(), &n) ==
-          ResumableSource::ReadResult::kEnd) {
-        break;
-      }
+    // Read past the replay window, so the producer's high water has moved
+    // the resume floor above offset 0 before this consumer goes away.
+    size_t received = 0;
+    for (int i = 0; i < 1000 && received <= scfg.replay_window; ++i) {
+      size_t n = 0;
+      const auto r = first.Read(buf.data(), buf.size(), &n);
+      received += n;
+      if (r == ResumableSource::ReadResult::kEnd) break;
     }
-    ASSERT_GT(n, 0u) << "first consumer never received a batch";
+    ASSERT_GT(received, scfg.replay_window)
+        << "first consumer never read past the replay window";
   }  // first consumer vanishes mid-stream
 
   SocketSource second(cfg);
@@ -556,11 +562,14 @@ TEST(TcpSourceTest, ReplayWindowLimitForcesABookedGap) {
 
 TEST(FaultWrapperTest, InjectedDisconnectsStillDeliverEverything) {
   // FaultyResumableSource yanks the connection every 400 delivered
-  // records; TCP resume is lossless, so adversity must not change what the
-  // engine sees.
+  // records; TCP resume is lossless while the producer still serves, so
+  // adversity must not change what the engine sees. The linger keeps it
+  // serving when a disconnect lands after the tail and FIN were written
+  // but before the consumer read them.
   Trace trace = TraceGenerator::MakeResearchFeed(2.0, 36);
   TraceSenderConfig scfg = SenderConfigFor(trace);
   scfg.records_per_frame = 64;
+  scfg.linger_ms = 20000;
   SenderRun run(scfg);
   ASSERT_TRUE(run.sender.BindTcp(0).ok());
   run.StartTcpBound();
@@ -597,7 +606,8 @@ TEST(RunSourceTest, PcapIngestMatchesInProcessRunByteForByte) {
   std::vector<std::string> reference;
   {
     TwoLevelRuntime ref(*low, {*high});
-    ASSERT_TRUE(ref.Run(trace).ok());
+    TraceSource src(trace);
+    ASSERT_TRUE(ref.RunSource(src).ok());
     reference = RowsAsStrings(ref.high_node(0).DrainOutput());
   }
   TwoLevelRuntime rt(*low, {*high});
@@ -634,6 +644,49 @@ TEST(RunSourceTest, MaxRecordsBoundsALiveRun) {
   EXPECT_GE(report->packets, 1000u);
   EXPECT_LT(report->packets, 1000u + opt.batch_size);
   fs::remove(path);
+}
+
+TEST(RunSourceTest, PcapRunEmitsDrainSpansAndDrainPhase) {
+  // RunSource shares the threaded path's batch step, so a pcap feed emits
+  // ring_drain spans parented under the window each batch fed, and the
+  // profiler's drain phase ticks.
+  Trace trace = TraceGenerator::MakeResearchFeed(6.0, 44);
+  const std::string path =
+      (fs::path(::testing::TempDir()) / "run_source_spans.pcap").string();
+  ASSERT_TRUE(WritePcap(trace, path).ok());
+  auto low = CompileQuery(kPassThroughLow, Catalog::Default(), {.seed = 3});
+  auto high = CompileQuery(kAggQuery, Catalog::Default(), {.seed = 3});
+  ASSERT_TRUE(low.ok() && high.ok());
+
+  obs::SpanRing& spans = obs::SpanRing::Default();
+  obs::Profiler& prof = obs::Profiler::Default();
+  spans.set_enabled(true);
+  prof.set_phase_accounting(true);
+  const uint64_t drain_before = prof.phase_cycles(obs::Profiler::kDrain);
+  TwoLevelRuntime rt(*low, {*high});
+  PcapReader reader(PcapReaderConfig{path});
+  auto report = rt.RunSource(reader);
+  spans.set_enabled(false);
+  prof.set_phase_accounting(false);
+  fs::remove(path);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  EXPECT_GT(prof.phase_cycles(obs::Profiler::kDrain), drain_before);
+  const std::vector<obs::SpanRecord> recorded = spans.Snapshot();
+  ASSERT_LT(spans.spans_recorded(), spans.capacity()) << "ring overwrote";
+  std::set<uint64_t> windows;
+  for (const obs::SpanRecord& s : recorded) {
+    if (std::string(s.name) == "window") windows.insert(s.span_id);
+  }
+  EXPECT_FALSE(windows.empty());
+  size_t drains = 0;
+  for (const obs::SpanRecord& s : recorded) {
+    if (std::string(s.name) != "ring_drain") continue;
+    ++drains;
+    EXPECT_EQ(windows.count(s.parent_id), 1u)
+        << "ring_drain span must parent under an emitted window span";
+  }
+  EXPECT_GT(drains, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -704,15 +757,33 @@ std::vector<std::string> ReferenceRows(const Trace& trace) {
   auto high = CompileQuery(kAggQuery, Catalog::Default(), {.seed = 3});
   EXPECT_TRUE(low.ok() && high.ok());
   TwoLevelRuntime ref(*low, {*high});
-  EXPECT_TRUE(ref.Run(trace).ok());
+  TraceSource src(trace);
+  EXPECT_TRUE(ref.RunSource(src).ok());
   return RowsAsStrings(ref.high_node(0).DrainOutput());
 }
 
-TEST_F(NetSourceCrashTest, SigkillPcapIngestResumesByteIdentically) {
+// The file-like feeds a SIGKILL-and-resume run is checked over: both
+// resume by seeking to the checkpointed offset and re-reading it exactly.
+enum class SeekableFeed { kPcap, kTrace };
+
+// A child runs the checkpointed pipeline over `feed`, throttled, and is
+// SIGKILLed after two snapshots. A restored run over a fresh source of the
+// same kind must seek instead of replaying, and emit a byte-identical
+// suffix of an uninterrupted reference run.
+void ExpectSigkillResumesByteIdentically(const fs::path& dir,
+                                         SeekableFeed feed) {
   Trace trace = TraceGenerator::MakeResearchFeed(30.0, 42);
-  const std::string pcap_path = (dir_ / "stream.pcap").string();
-  ASSERT_TRUE(WritePcap(trace, pcap_path).ok());
-  const fs::path ckpt = dir_ / "ckpt";
+  const std::string pcap_path = (dir / "stream.pcap").string();
+  if (feed == SeekableFeed::kPcap) {
+    ASSERT_TRUE(WritePcap(trace, pcap_path).ok());
+  }
+  auto make_source = [&]() -> std::unique_ptr<ResumableSource> {
+    if (feed == SeekableFeed::kTrace) {
+      return std::make_unique<TraceSource>(trace);
+    }
+    return std::make_unique<PcapReader>(PcapReaderConfig{pcap_path});
+  };
+  const fs::path ckpt = dir / "ckpt";
   fs::create_directories(ckpt);
 
   const pid_t pid = fork();
@@ -722,11 +793,11 @@ TEST_F(NetSourceCrashTest, SigkillPcapIngestResumesByteIdentically) {
     if (!low.ok() || !high.ok()) _exit(3);
     TwoLevelRuntime rt(*low, {*high},
                        CheckpointedSourceOptions(ckpt.string()));
-    PcapReader inner(PcapReaderConfig{pcap_path});
-    ResumableFaultConfig fc;  // throttle so the parent can kill mid-file
+    std::unique_ptr<ResumableSource> inner = make_source();
+    ResumableFaultConfig fc;  // throttle so the parent can kill mid-feed
     fc.stall_every_reads = 1;
     fc.stall_ms = 4;
-    FaultyResumableSource src(&inner, fc);
+    FaultyResumableSource src(inner.get(), fc);
     auto report = rt.RunSource(src);
     _exit(report.ok() ? 0 : 4);
   }
@@ -742,14 +813,14 @@ TEST_F(NetSourceCrashTest, SigkillPcapIngestResumesByteIdentically) {
   TwoLevelRuntime rt(*low, {*high},
                      CheckpointedSourceOptions(ckpt.string()));
   ASSERT_TRUE(rt.recovered()) << "no valid snapshot was restored";
-  PcapReader reader(PcapReaderConfig{pcap_path});
-  auto report = rt.RunSource(reader);
+  std::unique_ptr<ResumableSource> reader = make_source();
+  auto report = rt.RunSource(*reader);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->sources.size(), 1u);
   EXPECT_TRUE(report->sources[0].resumed_from_offset)
-      << "recovery should seek the pcap, not replay from byte 0";
+      << "recovery should seek the source, not replay from the start";
   EXPECT_GT(report->sources[0].stats.resume_offset, 0u);
-  // The re-seeked run read strictly fewer records than the whole capture.
+  // The re-seeked run read strictly fewer records than the whole feed.
   EXPECT_LT(report->packets, trace.size());
 
   const std::vector<std::string> recovered =
@@ -758,6 +829,14 @@ TEST_F(NetSourceCrashTest, SigkillPcapIngestResumesByteIdentically) {
   const std::vector<std::string> tail(reference.end() - recovered.size(),
                                       reference.end());
   EXPECT_EQ(recovered, tail);
+}
+
+TEST_F(NetSourceCrashTest, SigkillPcapIngestResumesByteIdentically) {
+  ExpectSigkillResumesByteIdentically(dir_, SeekableFeed::kPcap);
+}
+
+TEST_F(NetSourceCrashTest, SigkillTraceIngestResumesByteIdentically) {
+  ExpectSigkillResumesByteIdentically(dir_, SeekableFeed::kTrace);
 }
 
 TEST_F(NetSourceCrashTest, SigkillTcpIngestResumesViaHelloByteIdentically) {

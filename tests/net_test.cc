@@ -1,5 +1,5 @@
-// Unit tests for src/net: packet records, rate models, trace generation
-// and the binary trace format.
+// Unit tests for src/net: packet records, rate models, trace generation,
+// the binary trace format and the sender's pacing schedule.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "net/packet.h"
 #include "net/rate_model.h"
 #include "net/trace_generator.h"
+#include "net/trace_sender.h"
 
 namespace streamop {
 namespace {
@@ -210,6 +211,41 @@ TEST(TraceTest, LoadRejectsGarbage) {
 TEST(TraceTest, LoadMissingFileFails) {
   Result<Trace> r = Trace::LoadFrom("/nonexistent/path/t.bin");
   EXPECT_FALSE(r.ok());
+}
+
+TEST(PaceScheduleTest, FramesAreDueOnAnAbsoluteSchedule) {
+  // 1M rec/s: each record is due 1 us after the one before it.
+  PaceSchedule pace;
+  pace.records_per_sec = 1e6;
+  pace.Restart(5000);
+  // Sent 500 records right away: the next frame is due at 5000 + 500 us.
+  EXPECT_EQ(pace.Book(500, 5000), 500000);
+  // The sleep overshot by 30 us: the next wait is shortened to compensate.
+  EXPECT_EQ(pace.Book(500, 535000), 470000);
+  EXPECT_EQ(pace.sent, 1000u);
+}
+
+TEST(PaceScheduleTest, BehindScheduleSendsAtOnceUntilCaughtUp) {
+  PaceSchedule pace;
+  pace.records_per_sec = 1e6;
+  pace.Restart(0);
+  // A slow send left the sender 2 ms behind: no sleep for the next frames
+  // until the schedule is ahead of the clock again.
+  EXPECT_EQ(pace.Book(500, 2500000), 0);
+  EXPECT_EQ(pace.Book(500, 2500000), 0);
+  EXPECT_EQ(pace.Book(1000, 2500000), 0);
+  EXPECT_EQ(pace.Book(1000, 2500000), 500000);
+}
+
+TEST(PaceScheduleTest, RestartStartsTheScheduleOver) {
+  PaceSchedule pace;
+  pace.records_per_sec = 2000.0;  // 500 us per record
+  pace.Restart(0);
+  EXPECT_EQ(pace.Book(4, 0), 2000000);
+  // A reconnect 10 s later: nothing is owed for the time disconnected.
+  pace.Restart(10000000000);
+  EXPECT_EQ(pace.sent, 0u);
+  EXPECT_EQ(pace.Book(2, 10000000000), 1000000);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // Unit tests for src/stream: the SPSC ring buffer (single- and
-// multi-threaded) and the tuple sources.
+// multi-threaded), the tuple sources and the resumable trace source.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "net/trace_generator.h"
 #include "stream/ring_buffer.h"
 #include "stream/stream_source.h"
+#include "stream/trace_source.h"
 
 namespace streamop {
 namespace {
@@ -146,6 +148,78 @@ TEST(StreamSourceTest, VectorSource) {
   src.Reset();
   ASSERT_TRUE(src.Next(&t));
   EXPECT_EQ(t[0].uint_value(), 1u);
+}
+
+// ---------- TraceSource (ResumableSource over an in-memory trace) ----------
+
+bool SameRecord(const PacketRecord& a, const PacketRecord& b) {
+  return a.ts_ns == b.ts_ns && a.src_ip == b.src_ip && a.dst_ip == b.dst_ip &&
+         a.src_port == b.src_port && a.dst_port == b.dst_port &&
+         a.len == b.len && a.proto == b.proto;
+}
+
+TEST(TraceSourceTest, ReadHonoursMaxAndOffsetCountsDelivered) {
+  Trace trace = TraceGenerator::MakeResearchFeed(1.0, 3);
+  ASSERT_GT(trace.size(), 100u);
+  TraceSource src(trace);
+  ASSERT_TRUE(src.Open().ok());
+  EXPECT_STREQ(src.kind(), "trace");
+  std::vector<PacketRecord> buf(64);
+  size_t delivered = 0;
+  for (;;) {
+    size_t n = 0;
+    const auto r = src.Read(buf.data(), 40, &n);
+    if (r == ResumableSource::ReadResult::kEnd) {
+      EXPECT_EQ(n, 0u);
+      break;
+    }
+    ASSERT_EQ(r, ResumableSource::ReadResult::kRecords);
+    ASSERT_LE(n, 40u);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(SameRecord(buf[i], trace.at(delivered + i)));
+    }
+    delivered += n;
+    EXPECT_EQ(src.durable_offset(), delivered);
+    EXPECT_EQ(src.offset_lag(), trace.size() - delivered);
+  }
+  EXPECT_EQ(delivered, trace.size());
+  EXPECT_EQ(src.stats().records, trace.size());
+  EXPECT_TRUE(src.last_status().ok());
+}
+
+TEST(TraceSourceTest, SeekToResumesAtTheRecord) {
+  Trace trace = TraceGenerator::MakeResearchFeed(1.0, 3);
+  const size_t k = trace.size() / 3;
+  TraceSource src(trace);
+  ASSERT_TRUE(src.SeekTo(k).ok());
+  ASSERT_TRUE(src.Open().ok());
+  EXPECT_EQ(src.durable_offset(), k);
+  EXPECT_EQ(src.stats().resume_offset, k);
+  std::vector<PacketRecord> buf(8);
+  size_t n = 0;
+  ASSERT_EQ(src.Read(buf.data(), buf.size(), &n),
+            ResumableSource::ReadResult::kRecords);
+  ASSERT_EQ(n, buf.size());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(SameRecord(buf[i], trace.at(k + i)));
+  }
+  EXPECT_EQ(src.durable_offset(), k + n);
+  EXPECT_FALSE(src.SeekTo(trace.size() + 1).ok());
+  ASSERT_TRUE(src.SeekTo(trace.size()).ok());
+  EXPECT_EQ(src.Read(buf.data(), buf.size(), &n),
+            ResumableSource::ReadResult::kEnd);
+  EXPECT_TRUE(src.last_status().ok());
+}
+
+TEST(TraceSourceTest, StreamIdFollowsTheTraceContents) {
+  Trace a = TraceGenerator::MakeResearchFeed(1.0, 3);
+  Trace same = TraceGenerator::MakeResearchFeed(1.0, 3);
+  Trace other = TraceGenerator::MakeResearchFeed(1.0, 4);
+  Trace one_changed = a;
+  one_changed.mutable_packets()[a.size() / 2].len ^= 1;
+  EXPECT_EQ(TraceSource(a).stream_id(), TraceSource(same).stream_id());
+  EXPECT_NE(TraceSource(a).stream_id(), TraceSource(other).stream_id());
+  EXPECT_NE(TraceSource(a).stream_id(), TraceSource(one_changed).stream_id());
 }
 
 }  // namespace

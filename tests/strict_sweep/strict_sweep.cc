@@ -40,6 +40,7 @@
 #include "stream/fault_injection.h"
 #include "stream/pcap_reader.h"
 #include "stream/socket_source.h"
+#include "stream/trace_source.h"
 
 namespace streamop {
 namespace {
@@ -681,7 +682,8 @@ int Run(const SweepArgs& args) {
         return 2;
       }
       TwoLevelRuntime ref(*low, {*high});
-      auto report = ref.Run(traces.at(o.name));
+      TraceSource src(traces.at(o.name));
+      auto report = ref.RunSource(src);
       if (!report.ok()) {
         std::fprintf(stderr, "strict_sweep: reference run failed (%s): %s\n",
                      key.c_str(), report.status().ToString().c_str());
